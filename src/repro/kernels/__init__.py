@@ -1,11 +1,11 @@
-"""Compiled hot-kernel backend for the simulator and fault engine.
+"""Compiled hot-kernel backend for the fault engine.
 
-Three inner loops dominate every figure experiment, fleet host screen
-and hammer sweep: the per-cell fault predicate, the FR-FCFS pick /
-earliest-issue scan, and the event-heap drain of the system simulator.
-This package holds njit-compiled ports of those loops; the numpy /
-pure-python implementations stay in place, verbatim, as the equivalence
-oracles the kernels are property-tested against.
+The per-cell fault predicate dominates every fleet host screen and
+hammer sweep. This package holds njit-compiled ports of that loop; the
+numpy implementations stay in place, verbatim, as the equivalence
+oracles the kernels are property-tested against. (The cycle simulator
+has no kernel path: its per-request work is one fused python loop per
+channel, ``MemoryController.drain``.)
 
 Backends
 --------
@@ -144,12 +144,10 @@ def warmup() -> float:
     if get_backend() != "numba":
         _warmup_s = 0.0
         return _warmup_s
-    from . import eventheap, faultpred, sched
+    from . import faultpred
 
     start = time.perf_counter()
     faultpred.warmup()
-    sched.warmup()
-    eventheap.warmup()
     _warmup_s = time.perf_counter() - start
     from .. import obs
 

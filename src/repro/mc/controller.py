@@ -11,6 +11,16 @@ mechanisms inside its simulator (§6.2).
 MEMCON's testing traffic is injected as background requests: each
 concurrent test contributes two full-row reads (Read&Compare) spread over
 the test window (Table 3's overhead study).
+
+Two implementations of the per-instant work live here on purpose.
+:meth:`MemoryController.drain` is the production path: one loop over
+local variables that applies refresh and test injection from their
+precomputed schedules, the FR-FCFS pick, the row-buffer and bus timing
+and the accounting inline. :meth:`MemoryController._step`,
+:meth:`~MemoryController.next_event_ns` and :meth:`~MemoryController.tick`
+compose the same rules from the scheduler's and the bank model's methods;
+the poll engine (``SystemSimulator.run(engine="poll")``) drives them as
+the independent equivalence oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import kernels, obs
+from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters
 from .bank import (
     BankActivationLog,
@@ -32,7 +42,19 @@ from .bank import (
 from .request import Request, RequestKind
 from .rowrefresh import TargetRowRefresh, TrrSettings
 from .schedule import ArrivalSchedule
-from .scheduler import FrFcfsScheduler, SchedulerConfig
+from .scheduler import (
+    READ_Q,
+    TEST_Q,
+    WRITE_Q,
+    FrFcfsScheduler,
+    SchedulerConfig,
+)
+
+_INF = float("inf")
+#: Pick orders by kind position: reads first, or writes first while the
+#: write queue drains (FrFcfsScheduler.next_request's hysteresis).
+_READS_FIRST = (READ_Q, WRITE_Q, TEST_Q)
+_WRITES_FIRST = (WRITE_Q, READ_Q, TEST_Q)
 
 
 @dataclass
@@ -166,11 +188,12 @@ class MemoryController:
         self._registry = registry
         self._c_refreshes = registry.counter("mc.refreshes_issued")
         self._c_test_injected = registry.counter("mc.test_requests_injected")
-        self._c_served = {
-            RequestKind.READ: registry.counter("mc.reads_served"),
-            RequestKind.WRITE: registry.counter("mc.writes_served"),
-            RequestKind.TEST: registry.counter("mc.test_requests_served"),
-        }
+        # Indexed by kind position (READ_Q, WRITE_Q, TEST_Q).
+        self._c_served = (
+            registry.counter("mc.reads_served"),
+            registry.counter("mc.writes_served"),
+            registry.counter("mc.test_requests_served"),
+        )
         self._h_read_latency = registry.histogram(
             "mc.read_latency_ns",
             buckets=(25.0, 50.0, 100.0, 200.0, 400.0, 800.0, 1600.0),
@@ -181,11 +204,7 @@ class MemoryController:
         # sum is the same float as per-request observes.
         self._pend_refreshes = 0
         self._pend_test_injected = 0
-        self._pend_served = {
-            RequestKind.READ: 0,
-            RequestKind.WRITE: 0,
-            RequestKind.TEST: 0,
-        }
+        self._pend_served = [0, 0, 0]
         self._pend_latencies: List[float] = []
         # Row-granularity refresh replaces all-bank REF when supplied.
         self.row_refresh = row_refresh
@@ -202,45 +221,6 @@ class MemoryController:
         self._test_schedule = (
             None if interval is None else ArrivalSchedule(interval, interval)
         )
-        # Kernel path: int64/float64 mirrors of per-bank (ready, open
-        # row) shared with the scheduler's compiled scans. Synced at the
-        # four mutation sites (service_request, issue_refresh, row
-        # refresh, TRR); -1 encodes a precharged bank.
-        if kernels.engaged():
-            self._bank_ready = np.zeros(banks, dtype=np.float64)
-            self._bank_open = np.full(banks, -1, dtype=np.int64)
-            self.scheduler.attach_bank_state(
-                self._bank_ready, self._bank_open
-            )
-        else:
-            self._bank_ready = None
-            self._bank_open = None
-
-    def _sync_bank(self, index: int) -> None:
-        """Refresh one bank's kernel mirror from its BankState."""
-        bank = self.banks[index]
-        self._bank_ready[index] = bank.ready_ns
-        row = bank.open_row
-        self._bank_open[index] = -1 if row is None else row
-
-    def _sync_all_banks(self) -> None:
-        for index in range(len(self.banks)):
-            self._sync_bank(index)
-
-    # ------------------------------------------------------------------
-    @property
-    def _next_refresh_ns(self) -> float:
-        """Next auto-refresh deadline (+inf under row-granularity refresh)."""
-        if self._refresh_schedule is None:
-            return float("inf")
-        return self._refresh_schedule.next_ns
-
-    @property
-    def _next_test_ns(self) -> Optional[float]:
-        """Next test-traffic injection time (None when disabled)."""
-        if self._test_schedule is None:
-            return None
-        return self._test_schedule.next_ns
 
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> bool:
@@ -301,8 +281,6 @@ class MemoryController:
         if schedule is not None and now_ns >= schedule.next_ns:
             due = schedule.next_ns
             issue_refresh(self.rank, self.banks, max(due, now_ns), self.timing)
-            if self._bank_ready is not None:
-                self._sync_all_banks()
             if self._registry.enabled:
                 self._pend_refreshes += 1
             if obs.trace_active():
@@ -310,11 +288,7 @@ class MemoryController:
                          channel=self.channel)
             schedule.advance()
         if self.row_refresh is not None:
-            if (
-                self.row_refresh.tick(now_ns, self.banks)
-                and self._bank_ready is not None
-            ):
-                self._sync_all_banks()
+            self.row_refresh.tick(now_ns, self.banks)
         # 2. Inject background test traffic on its schedule. The bank/row
         # draws stay scalar and per-injection so the RNG stream matches
         # the historical one draw-pair-per-request order.
@@ -340,12 +314,8 @@ class MemoryController:
                     bank, self.rank, request.row, now_ns, self.timing,
                 )
                 request.completion_ns = done
-                if self._bank_ready is not None:
-                    self._sync_bank(request.bank)
                 if self.trr is not None:
                     fired = self.trr.observe(bank, request.row, now_ns)
-                    if fired and self._bank_ready is not None:
-                        self._sync_bank(request.bank)
                     if (
                         fired
                         and obs.trace_active()
@@ -384,12 +354,11 @@ class MemoryController:
 
         The controller advances its own clock through the same sequence of
         instants the tick loop would have visited — ``t' = max(t + tCK,
-        next_event)`` — so service timing is unchanged; only the Python
-        round-trips per instant are gone. ``bound_ns`` is the earliest
-        time the outside world may act (a core arrival, another channel's
-        event, the window end); the drain additionally stops at the
-        completion time of any read it services, because delivering that
-        read can unstall a core.
+        next_event)`` — so service timing is unchanged. ``bound_ns`` is the
+        earliest time the outside world may act (a core arrival, another
+        channel's event, the window end); the drain additionally stops at
+        the completion time of any read it services, because delivering
+        that read can unstall a core.
 
         Returns ``(next_event, last_instant)``: the controller's next
         event time and the last instant actually processed. The caller
@@ -397,30 +366,269 @@ class MemoryController:
         — the poll loop applied the tCK floor per processed instant, and
         that composition is observable (a floor can push a core's poll
         past its arrival time), so it is part of the preserved semantics.
+
+        This is :meth:`_step` followed by :meth:`next_event_ns`, fused
+        into one loop over locals: the refresh and test-injection
+        deadlines are read straight from their :class:`ArrivalSchedule`
+        (the schedule wraps the request path instead of being threaded
+        through it), and the FR-FCFS pick, ``service_request`` and
+        ``_account`` run inline. Row refresh, TRR, activation tracking
+        and tracing are rare and stay behind hoisted flags.
         """
-        tck = self.timing.tCK
+        timing = self.timing
+        tck = timing.tCK
+        t_rcd = timing.tRCD
+        t_rp = timing.tRP
+        t_cas = timing.tCAS
+        t_ccd = timing.tCCD
+        burst_ns = timing.burst_cycles * timing.tCK
+        bus_hold = max(burst_ns, t_ccd)
+        banks = self.banks
+        rank = self.rank
+        scheduler = self.scheduler
+        buckets = scheduler.buckets
+        counts = scheduler.counts
+        threshold = scheduler.config.write_queue_drain_threshold
+        refresh_schedule = self._refresh_schedule
+        refresh_next = (
+            _INF if refresh_schedule is None else refresh_schedule.next_ns
+        )
+        refresh_until = rank.refresh_until_ns
+        test_schedule = self._test_schedule
+        test_next = _INF if test_schedule is None else test_schedule.next_ns
+        row_refresh = self.row_refresh
+        trr = self.trr
+        tracking = self.track_activations
+        on_read = self.on_read_complete
+        enabled = self._registry.enabled
+        tracing = obs.trace_active()
+        latencies = self._pend_latencies
+        read_latency = self._read_latency_ns
+        reads = writes = tests = refreshes = injected = 0
+
         t = now_ns
         while True:
-            served = self._step(t)
-            if (
-                served is not None
-                and served.kind is RequestKind.READ
-                and served.completion_ns < bound_ns
-            ):
-                bound_ns = served.completion_ns
-            nxt = self.next_event_ns(t + tck)
-            t_next = t + tck
-            if nxt > t_next:
-                t_next = nxt
-            if t_next >= bound_ns:
-                return nxt, t
-            t = t_next
+            # Refresh has priority: a hard JEDEC deadline and a barrier
+            # (no request command issues while it is in progress).
+            if t >= refresh_next:
+                refresh_until = issue_refresh(rank, banks, t, timing)
+                refreshes += 1
+                if tracing:
+                    obs.emit("mc_refresh", t_ns=t, channel=self.channel)
+                refresh_next = refresh_schedule.advance()
+            if row_refresh is not None:
+                row_refresh.tick(t, banks)
+            # Background test traffic: scalar bank/row draws per
+            # injection keep the historical RNG stream.
+            if t >= test_next:
+                scheduler.enqueue(Request(
+                    RequestKind.TEST, -1,
+                    int(self._rng.integers(len(banks))),
+                    int(self._rng.integers(self.rows_per_bank)),
+                    test_next, self.channel,
+                ))
+                injected += 1
+                test_next = test_schedule.advance()
+
+            # FR-FCFS pick with write-drain hysteresis: the first eligible
+            # row-buffer hit in enqueue order, else the oldest eligible
+            # request, trying the kinds in priority order.
+            if (counts[0] or counts[1] or counts[2]) and t >= refresh_until:
+                n_write = counts[WRITE_Q]
+                if n_write >= threshold:
+                    if not scheduler.draining_writes:
+                        scheduler.unflushed_drains += 1
+                    scheduler.draining_writes = True
+                elif not n_write:
+                    scheduler.draining_writes = False
+                draining = scheduler.draining_writes
+                entry = None
+                for kind in _WRITES_FIRST if draining else _READS_FIRST:
+                    if not counts[kind]:
+                        continue
+                    best_hit = best_any = None
+                    for bank_id, bucket in buckets.items():
+                        queue = bucket.queues[kind]
+                        if not queue:
+                            continue
+                        bank = banks[bank_id]
+                        if bank.ready_ns > t:
+                            continue
+                        open_row = bank.open_row
+                        found_any = False
+                        for candidate in queue:
+                            request = candidate[1]
+                            if request.arrival_ns > t:
+                                continue
+                            if not found_any:
+                                found_any = True
+                                if (best_any is None
+                                        or candidate[0] < best_any[0]):
+                                    best_any = candidate
+                                    any_bucket = bucket
+                                if open_row is None:
+                                    break  # no hit in a precharged bank
+                            if request.row == open_row:
+                                if (best_hit is None
+                                        or candidate[0] < best_hit[0]):
+                                    best_hit = candidate
+                                    hit_bucket = bucket
+                                break  # later entries cannot beat it
+                    if best_hit is not None:
+                        entry, bucket = best_hit, hit_bucket
+                    elif best_any is not None:
+                        entry, bucket = best_any, any_bucket
+                    else:
+                        continue
+                    queue = bucket.queues[kind]
+                    if queue[0] is entry:
+                        queue.popleft()
+                    else:
+                        queue.remove(entry)
+                    bucket.count -= 1
+                    counts[kind] -= 1
+                    request = entry[1]
+                    if request.arrival_ns <= bucket.min_arrival:
+                        bucket.recompute_min()
+                    if (draining and kind == WRITE_Q
+                            and counts[WRITE_Q] <= threshold // 2):
+                        scheduler.draining_writes = False
+                    break
+
+                if entry is not None:
+                    # Row-buffer state machine and data-bus serialisation
+                    # (bank.service_request; the pick guarantees the bank
+                    # and the rank are free, so the command issues at t).
+                    row = request.row
+                    bank = banks[request.bank]
+                    open_row = bank.open_row
+                    if open_row == row:
+                        bank.row_hits += 1
+                        column_at = t
+                    elif open_row is None:
+                        bank.row_misses += 1
+                        bank.activations += 1
+                        column_at = t + t_rcd
+                        bank.open_row = row
+                        if tracking:
+                            bank.act_log.activate(row, t)
+                    else:
+                        bank.row_conflicts += 1
+                        bank.precharges += 1
+                        bank.activations += 1
+                        column_at = t + t_rp + t_rcd
+                        bank.open_row = row
+                        if tracking:
+                            bank.act_log.close(t)
+                            bank.act_log.activate(row, t + t_rp)
+                    data_start = column_at + t_cas
+                    if rank.bus_free_ns > data_start:
+                        data_start = rank.bus_free_ns
+                    done = data_start + burst_ns
+                    rank.bus_free_ns = data_start + bus_hold
+                    ready = done - t_cas
+                    bank.ready_ns = (
+                        column_at + t_ccd if column_at + t_ccd >= ready
+                        else ready
+                    )
+                    request.completion_ns = done
+                    if trr is not None:
+                        self._observe_trr(bank, request, t, tracing)
+                    if kind == READ_Q:
+                        reads += 1
+                        latency = done - request.arrival_ns
+                        read_latency += latency
+                        if enabled:
+                            latencies.append(latency)
+                        if on_read is not None:
+                            on_read(request)
+                        # Delivering this read may unstall a core.
+                        if done < bound_ns:
+                            bound_ns = done
+                    elif kind == WRITE_Q:
+                        writes += 1
+                    else:
+                        tests += 1
+                    if tracing:
+                        obs.emit(
+                            "mc_request",
+                            t_ns=done,
+                            kind_served=request.kind.value,
+                            bank=request.bank,
+                            latency_ns=done - request.arrival_ns,
+                            channel=self.channel,
+                        )
+
+            # Next instant: the earliest clamped deadline or queue-issue
+            # time at or after t + tCK (next_event_ns, inline).
+            t1 = t + tck
+            nxt = refresh_next if refresh_next >= t1 else t1
+            if row_refresh is not None:
+                candidate = row_refresh.next_due_ns
+                if candidate < t1:
+                    candidate = t1
+                if candidate < nxt:
+                    nxt = candidate
+            if test_next < nxt:
+                nxt = test_next if test_next >= t1 else t1
+            if counts[0] or counts[1] or counts[2]:
+                floor = refresh_until if refresh_until >= t1 else t1
+                for bank_id, bucket in buckets.items():
+                    if not bucket.count:
+                        continue
+                    candidate = bucket.min_arrival
+                    ready = banks[bank_id].ready_ns
+                    if ready > candidate:
+                        candidate = ready
+                    if floor > candidate:
+                        candidate = floor
+                    if candidate < nxt:
+                        nxt = candidate
+            if nxt >= bound_ns:
+                break
+            t = nxt
+
+        self._reads_served += reads
+        self._writes_served += writes
+        self._tests_served += tests
+        self._read_latency_ns = read_latency
+        if enabled:
+            pend = self._pend_served
+            pend[READ_Q] += reads
+            pend[WRITE_Q] += writes
+            pend[TEST_Q] += tests
+            self._pend_refreshes += refreshes
+            self._pend_test_injected += injected
+        return nxt, t
+
+    def _observe_trr(
+        self, bank: BankState, request: Request, now_ns: float,
+        tracing: bool,
+    ) -> None:
+        """Let TRR check the serviced row; record a mitigation it fires."""
+        fired = self.trr.observe(bank, request.row, now_ns)
+        if fired and tracing and obs.forensics_active():
+            # Row id uses the module-flat convention of activation
+            # snapshots so ledger rows line up with the disturbance
+            # model's victims.
+            flat = (
+                self.channel * len(self.banks) + request.bank
+            ) * self.rows_per_bank + request.row
+            obs.emit(
+                "trr_refresh",
+                t_ns=now_ns,
+                bank=request.bank,
+                row=flat,
+                bank_row=request.row,
+                channel=self.channel,
+                neighbors=self.trr.last_neighbors,
+            )
 
     def _account(self, request: Request) -> None:
         enabled = self._registry.enabled
-        if enabled:
-            self._pend_served[request.kind] += 1
         if request.kind is RequestKind.READ:
+            if enabled:
+                self._pend_served[READ_Q] += 1
             self._reads_served += 1
             self._read_latency_ns += request.latency_ns
             if enabled:
@@ -428,8 +636,12 @@ class MemoryController:
             if self.on_read_complete is not None:
                 self.on_read_complete(request)
         elif request.kind is RequestKind.WRITE:
+            if enabled:
+                self._pend_served[WRITE_Q] += 1
             self._writes_served += 1
         else:
+            if enabled:
+                self._pend_served[TEST_Q] += 1
             self._tests_served += 1
         if obs.trace_active():
             obs.emit(
@@ -468,14 +680,36 @@ class MemoryController:
         if self._pend_test_injected:
             self._c_test_injected.inc(self._pend_test_injected)
             self._pend_test_injected = 0
-        for kind, count in self._pend_served.items():
+        for index, count in enumerate(self._pend_served):
             if count:
-                self._c_served[kind].inc(count)
-                self._pend_served[kind] = 0
+                self._c_served[index].inc(count)
+                self._pend_served[index] = 0
         if self._pend_latencies:
             self._h_read_latency.observe_many(self._pend_latencies)
             self._pend_latencies = []
         self.scheduler.flush_metrics()
+
+    # ------------------------------------------------------------------
+    def check_conservation(self) -> None:
+        """Raise ``RuntimeError`` unless the request and ACT books balance.
+
+        Every accepted request was served or is still queued, and every
+        bank's activations are its row misses plus row conflicts. O(banks).
+        """
+        scheduler = self.scheduler
+        served = self._reads_served + self._writes_served + self._tests_served
+        if scheduler.enqueued != served + scheduler.pending:
+            raise RuntimeError(
+                f"channel {self.channel}: {scheduler.enqueued} requests "
+                f"enqueued != {served} served + {scheduler.pending} pending"
+            )
+        for index, bank in enumerate(self.banks):
+            if bank.activations != bank.row_misses + bank.row_conflicts:
+                raise RuntimeError(
+                    f"channel {self.channel} bank {index}: "
+                    f"{bank.activations} activations != {bank.row_misses} "
+                    f"misses + {bank.row_conflicts} conflicts"
+                )
 
     # ------------------------------------------------------------------
     def stats(self) -> ControllerStats:

@@ -14,10 +14,14 @@ unchanged from the flat-list implementation — "first eligible row-buffer
 hit in enqueue order, else oldest eligible" — because enqueue order is
 exactly the sequence-number order and each per-bank deque preserves it.
 
-Everything here is on the simulator's per-instant path, so the layout is
-deliberately flat: one deque attribute per request kind (enum-keyed dicts
-cost an enum ``__hash__`` per access), plain int counters, and zero-count
-early exits before any bank scan.
+The layout is deliberately flat and shared: the memory controller's fused
+drain loop (:meth:`repro.mc.controller.MemoryController.drain`) works on
+``buckets``, ``counts``, ``draining_writes`` and ``unflushed_drains``
+directly and applies the same pick rule inline. The methods below are the reference
+implementation of that rule, used by the controller's poll-oracle step
+and by unit tests. Queues are indexed by kind position (``READ_Q``,
+``WRITE_Q``, ``TEST_Q``) rather than by the enum, whose ``__hash__``
+costs a Python call per lookup.
 """
 
 from __future__ import annotations
@@ -26,10 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .. import obs
-from ..kernels import sched as _ksched
 from .bank import BankState
 from .request import Request, RequestKind
 
@@ -49,20 +50,27 @@ class SchedulerConfig:
             raise ValueError("queue capacities must be positive")
 
 
+#: Positions of the per-kind queues in ``_BankBucket.queues`` and of the
+#: per-kind pending counts in ``FrFcfsScheduler.counts``.
+READ_Q, WRITE_Q, TEST_Q = 0, 1, 2
+
+
 class _BankBucket:
     """Per-bank pending requests, one FIFO per request kind.
 
-    ``min_arrival`` caches the smallest arrival time across all three
-    deques so ``earliest_issue_ns`` is O(banks-with-work); it is restored
-    by a rescan only when the request holding the minimum leaves.
+    ``queues`` holds the same three deques by kind position. ``min_arrival``
+    caches the smallest arrival time across all three deques so
+    ``earliest_issue_ns`` is O(banks-with-work); it is restored by a
+    rescan only when the request holding the minimum leaves.
     """
 
-    __slots__ = ("reads", "writes", "tests", "count", "min_arrival")
+    __slots__ = ("reads", "writes", "tests", "queues", "count", "min_arrival")
 
     def __init__(self) -> None:
         self.reads: Deque[Tuple[int, Request]] = deque()
         self.writes: Deque[Tuple[int, Request]] = deque()
         self.tests: Deque[Tuple[int, Request]] = deque()
+        self.queues = (self.reads, self.writes, self.tests)
         self.count = 0
         self.min_arrival = float("inf")
 
@@ -75,7 +83,7 @@ class _BankBucket:
 
     def recompute_min(self) -> None:
         best = float("inf")
-        for queue in (self.reads, self.writes, self.tests):
+        for queue in self.queues:
             for _, request in queue:
                 if request.arrival_ns < best:
                     best = request.arrival_ns
@@ -87,56 +95,22 @@ class FrFcfsScheduler:
 
     def __init__(self, config: Optional[SchedulerConfig] = None) -> None:
         self.config = config or SchedulerConfig()
-        self._banks: Dict[int, _BankBucket] = {}
-        self._n_read = 0
-        self._n_write = 0
-        self._n_test = 0
-        self._seq = 0
-        self._draining_writes = False
+        #: bank id -> that bank's queues, in first-use order.
+        self.buckets: Dict[int, _BankBucket] = {}
+        #: Pending requests per kind position (READ_Q, WRITE_Q, TEST_Q).
+        self.counts = [0, 0, 0]
+        #: Requests ever accepted; also the next enqueue sequence number.
+        self.enqueued = 0
+        self.draining_writes = False
         # Hot-path counters accumulate locally and reach the registry in
         # one batched flush (flush_metrics) instead of per enqueue.
         self._n_enqueued = 0
         self._n_rejected = 0
-        self._n_drains = 0
+        self.unflushed_drains = 0
         registry = obs.get_registry()
         self._c_enqueued = registry.counter("mc.sched.enqueued")
         self._c_rejected = registry.counter("mc.sched.rejected")
         self._c_drains = registry.counter("mc.sched.write_drains")
-        # Kernel-path state (attach_bank_state): typed-array ring per
-        # kind plus per-bank mirrors of ready/open/min-arrival/count.
-        # None until a controller with an engaged kernels backend
-        # attaches — standalone schedulers keep the pure-python path.
-        self._k_rings: Optional[Dict[RequestKind, _ksched.KindRing]] = None
-        self._k_ready: Optional[np.ndarray] = None
-        self._k_open: Optional[np.ndarray] = None
-        self._k_min: Optional[np.ndarray] = None
-        self._k_cnt: Optional[np.ndarray] = None
-        self._k_done: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    def attach_bank_state(
-        self, ready_ns: np.ndarray, open_rows: np.ndarray
-    ) -> None:
-        """Engage the compiled pick/earliest path over shared bank arrays.
-
-        ``ready_ns`` (float64) and ``open_rows`` (int64, -1 for
-        precharged) are owned and kept current by the controller; the
-        scheduler maintains the per-kind rings and per-bank min-arrival
-        and count mirrors. Must be called while the queues are empty.
-        """
-        if self.pending:
-            raise ValueError("attach_bank_state requires empty queues")
-        n_banks = len(ready_ns)
-        self._k_rings = {
-            RequestKind.READ: _ksched.KindRing(),
-            RequestKind.WRITE: _ksched.KindRing(),
-            RequestKind.TEST: _ksched.KindRing(),
-        }
-        self._k_ready = ready_ns
-        self._k_open = open_rows
-        self._k_min = np.full(n_banks, float("inf"), dtype=np.float64)
-        self._k_cnt = np.zeros(n_banks, dtype=np.int64)
-        self._k_done = np.zeros(n_banks, dtype=np.bool_)
 
     # ------------------------------------------------------------------
     def flush_metrics(self) -> None:
@@ -147,53 +121,49 @@ class FrFcfsScheduler:
         if self._n_rejected:
             self._c_rejected.inc(self._n_rejected)
             self._n_rejected = 0
-        if self._n_drains:
-            self._c_drains.inc(self._n_drains)
-            self._n_drains = 0
+        if self.unflushed_drains:
+            self._c_drains.inc(self.unflushed_drains)
+            self.unflushed_drains = 0
 
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> bool:
         """Add a request; returns False when the target queue is full."""
         kind = request.kind
-        bucket = self._banks.get(request.bank)
+        counts = self.counts
+        bucket = self.buckets.get(request.bank)
         if bucket is None:
-            bucket = self._banks[request.bank] = _BankBucket()
+            bucket = self.buckets[request.bank] = _BankBucket()
         if kind is RequestKind.READ:
-            if self._n_read >= self.config.read_queue_capacity:
+            if counts[READ_Q] >= self.config.read_queue_capacity:
                 self._n_rejected += 1
                 return False
-            self._n_read += 1
-            bucket.reads.append((self._seq, request))
+            counts[READ_Q] += 1
+            bucket.reads.append((self.enqueued, request))
         elif kind is RequestKind.WRITE:
-            if self._n_write >= self.config.write_queue_capacity:
+            if counts[WRITE_Q] >= self.config.write_queue_capacity:
                 self._n_rejected += 1
                 return False
-            self._n_write += 1
-            bucket.writes.append((self._seq, request))
+            counts[WRITE_Q] += 1
+            bucket.writes.append((self.enqueued, request))
         else:
-            self._n_test += 1
-            bucket.tests.append((self._seq, request))
+            counts[TEST_Q] += 1
+            bucket.tests.append((self.enqueued, request))
         bucket.count += 1
         if request.arrival_ns < bucket.min_arrival:
             bucket.min_arrival = request.arrival_ns
-        if self._k_rings is not None:
-            self._k_rings[kind].append(
-                self._seq, request.bank, request.row, request.arrival_ns
-            )
-            self._k_min[request.bank] = bucket.min_arrival
-            self._k_cnt[request.bank] = bucket.count
-        self._seq += 1
+        self.enqueued += 1
         self._n_enqueued += 1
         return True
 
     @property
     def pending(self) -> int:
-        return self._n_read + self._n_write + self._n_test
+        counts = self.counts
+        return counts[0] + counts[1] + counts[2]
 
     def _flat_queue(self, kind: RequestKind) -> List[Request]:
         """All pending requests of one kind, in enqueue order (debug view)."""
         entries = []
-        for bucket in self._banks.values():
+        for bucket in self.buckets.values():
             entries.extend(bucket.queue_for(kind))
         entries.sort()
         return [request for _, request in entries]
@@ -225,17 +195,13 @@ class FrFcfsScheduler:
         request = entry[1]
         kind = request.kind
         if kind is RequestKind.READ:
-            self._n_read -= 1
+            self.counts[READ_Q] -= 1
         elif kind is RequestKind.WRITE:
-            self._n_write -= 1
+            self.counts[WRITE_Q] -= 1
         else:
-            self._n_test -= 1
+            self.counts[TEST_Q] -= 1
         if request.arrival_ns <= bucket.min_arrival:
             bucket.recompute_min()
-        if self._k_rings is not None:
-            self._k_rings[kind].kill_seq(entry[0])
-            self._k_min[request.bank] = bucket.min_arrival
-            self._k_cnt[request.bank] = bucket.count
         return request
 
     def _pick_fr_fcfs(
@@ -247,13 +213,11 @@ class FrFcfsScheduler:
         within a bank the deque is already in enqueue (sequence) order, so
         the first matching entry is the bank's oldest candidate.
         """
-        if self._k_rings is not None:
-            return self._pick_kernel(kind, now_ns)
         best_hit: Optional[Tuple[int, Request, _BankBucket]] = None
         best_any: Optional[Tuple[int, Request, _BankBucket]] = None
         is_read = kind is RequestKind.READ
         is_write = kind is RequestKind.WRITE
-        for bank_id, bucket in self._banks.items():
+        for bank_id, bucket in self.buckets.items():
             queue = (
                 bucket.reads if is_read
                 else bucket.writes if is_write
@@ -288,25 +252,6 @@ class FrFcfsScheduler:
             bucket, bucket.queue_for(kind), (chosen[0], chosen[1])
         )
 
-    def _pick_kernel(
-        self, kind: RequestKind, now_ns: float
-    ) -> Optional[Request]:
-        """Kernel-path pick: one ascending ring scan replaces the per-bank
-        loop (same rule; see :mod:`repro.kernels.sched`)."""
-        ring = self._k_rings[kind]
-        slot = ring.pick(self._k_ready, self._k_open, self._k_done, now_ns)
-        if slot < 0:
-            return None
-        seq = int(ring.seqs[slot])
-        bucket = self._banks[int(ring.banks[slot])]
-        queue = bucket.queue_for(kind)
-        for entry in queue:
-            if entry[0] == seq:
-                return self._remove(bucket, queue, entry)
-        raise RuntimeError(
-            f"kernel ring out of sync: seq {seq} missing from its queue"
-        )
-
     def next_request(
         self, banks: Sequence[BankState], now_ns: float
     ) -> Optional[Request]:
@@ -316,29 +261,30 @@ class FrFcfsScheduler:
         no reads are pending; test traffic strictly last.
         """
         cfg = self.config
-        writes = self._n_write
+        counts = self.counts
+        writes = counts[WRITE_Q]
         if writes >= cfg.write_queue_drain_threshold:
-            if not self._draining_writes:
-                self._n_drains += 1
-            self._draining_writes = True
+            if not self.draining_writes:
+                self.unflushed_drains += 1
+            self.draining_writes = True
         if not writes:
-            self._draining_writes = False
+            self.draining_writes = False
 
-        if self._draining_writes and writes:
+        if self.draining_writes and writes:
             choice = self._pick_fr_fcfs(RequestKind.WRITE, banks, now_ns)
             if choice is not None:
-                if self._n_write <= cfg.write_queue_drain_threshold // 2:
-                    self._draining_writes = False
+                if counts[WRITE_Q] <= cfg.write_queue_drain_threshold // 2:
+                    self.draining_writes = False
                 return choice
-        if self._n_read:
+        if counts[READ_Q]:
             choice = self._pick_fr_fcfs(RequestKind.READ, banks, now_ns)
             if choice is not None:
                 return choice
-        if self._n_write:
+        if counts[WRITE_Q]:
             choice = self._pick_fr_fcfs(RequestKind.WRITE, banks, now_ns)
             if choice is not None:
                 return choice
-        if self._n_test:
+        if counts[TEST_Q]:
             return self._pick_fr_fcfs(RequestKind.TEST, banks, now_ns)
         return None
 
@@ -351,13 +297,8 @@ class FrFcfsScheduler:
         floor)`` — identical to minimising ``max(arrival, ready, floor)``
         over that bank's requests — so the scan is O(banks with work).
         """
-        if self._k_rings is not None:
-            t = _ksched.earliest_issue(
-                self._k_min, self._k_cnt, self._k_ready, floor_ns
-            )
-            return None if t == float("inf") else t
         best: Optional[float] = None
-        for bank_id, bucket in self._banks.items():
+        for bank_id, bucket in self.buckets.items():
             if not bucket.count:
                 continue
             t = bucket.min_arrival

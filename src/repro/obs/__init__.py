@@ -85,6 +85,7 @@ from .registry import (
     MetricsRegistry,
     get_registry,
     set_registry,
+    snapshot_delta,
 )
 from .spans import (
     SpanCollector,
@@ -140,6 +141,7 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "set_registry",
+    "snapshot_delta",
     "SpanCollector",
     "SpanNode",
     "collect_spans",

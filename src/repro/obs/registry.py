@@ -26,6 +26,7 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "set_registry",
+    "snapshot_delta",
 ]
 
 #: Default histogram bucket upper bounds (generic latency-ish scale).
@@ -263,6 +264,49 @@ class MetricsRegistry:
                 histogram.counts[index] += count
             histogram.total += data.get("total", 0)
             histogram.sum += data.get("sum", 0.0)
+
+
+def snapshot_delta(
+    before: Dict[str, Dict[str, object]],
+    after: Dict[str, Dict[str, object]],
+) -> Dict[str, Dict[str, object]]:
+    """What one registry recorded between two of its snapshots.
+
+    The result has the :meth:`MetricsRegistry.snapshot` shape, so
+    :meth:`MetricsRegistry.merge` replays it: counter values, histogram
+    counts, totals and sums are differences, gauges carry their later
+    value. Instruments created in between are included even when still
+    zero, so a replay creates the same instrument names.
+    """
+    old_counters = before.get("counters", {})
+    old_gauges = before.get("gauges", {})
+    old_histograms = before.get("histograms", {})
+    counters = {
+        name: value - old_counters.get(name, 0)
+        for name, value in after.get("counters", {}).items()
+        if name not in old_counters or value != old_counters[name]
+    }
+    gauges = {
+        name: value
+        for name, value in after.get("gauges", {}).items()
+        if name not in old_gauges or value != old_gauges[name]
+    }
+    histograms = {}
+    for name, data in after.get("histograms", {}).items():
+        old = old_histograms.get(name)
+        if old is None:
+            histograms[name] = data
+        elif data["total"] != old["total"]:
+            histograms[name] = {
+                "bounds": data["bounds"],
+                "counts": [
+                    new - prior
+                    for new, prior in zip(data["counts"], old["counts"])
+                ],
+                "total": data["total"] - old["total"],
+                "sum": data["sum"] - old["sum"],
+            }
+    return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 #: The process-local default registry. Disabled by default so plain

@@ -16,7 +16,7 @@ as the previous request from this core, otherwise a fresh random row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -73,31 +73,29 @@ class TraceCore:
         self._rng = np.random.default_rng((seed << 8) ^ core_id)
         self.instructions_retired = 0.0
         self.outstanding = 0
+        #: Demand reads issued so far (the run-end conservation check).
+        self.reads_issued = 0
         self.stall_ns = 0.0
         self._clock_ns = 0.0
         self._last_channel = 0
         self._last_bank = 0
         self._last_row = 0
+        self._ipns = self.config.instructions_per_ns
         inter_miss = 1000.0 / benchmark.mpki if benchmark.mpki > 0 else None
         self._inter_miss_mean = inter_miss
-        self._pending_gap = self._draw_gap()
+        #: Instructions until the next memory request (None = never).
+        self._pending_gap = (
+            None if inter_miss is None
+            else float(self._rng.exponential(inter_miss))
+        )
+        #: When the next request issues unless the core stalls first
+        #: (None = never); kept current whenever the clock or gap moves.
+        self.issue_at = self._issue_time()
 
-    # ------------------------------------------------------------------
-    def _draw_gap(self) -> Optional[float]:
-        """Instructions until the next memory request (None = never)."""
-        if self._inter_miss_mean is None:
+    def _issue_time(self) -> Optional[float]:
+        if self._pending_gap is None:
             return None
-        return float(self._rng.exponential(self._inter_miss_mean))
-
-    def _draw_location(self) -> Tuple[int, int, int]:
-        if self._rng.random() < self.benchmark.row_hit_rate:
-            return self._last_channel, self._last_bank, self._last_row
-        channel = int(self._rng.integers(self.channels))
-        bank = int(self._rng.integers(self.banks))
-        row = int(self._rng.integers(self.rows_per_bank))
-        self._last_channel = channel
-        self._last_bank, self._last_row = bank, row
-        return channel, bank, row
+        return self._clock_ns + self._pending_gap / self._ipns
 
     # ------------------------------------------------------------------
     @property
@@ -106,35 +104,47 @@ class TraceCore:
 
     def next_arrival_hint(self, now_ns: float) -> Optional[float]:
         """When this core will next want to issue, if it is not stalled."""
-        if self.stalled or self._pending_gap is None:
+        if self.stalled:
             return None
-        return self._clock_ns + self._pending_gap / self.config.instructions_per_ns
+        return self.issue_at
 
     def next_request(self, now_ns: float) -> Optional[Request]:
         """Issue the next request if the core has reached it by ``now_ns``."""
-        if self.stalled or self._pending_gap is None:
+        if self.stalled or self.issue_at is None or self.issue_at > now_ns:
             return None
-        issue_at = (
-            self._clock_ns + self._pending_gap / self.config.instructions_per_ns
-        )
-        if issue_at > now_ns:
-            return None
+        return self.issue()
+
+    def issue(self) -> Request:
+        """Issue the request due at :attr:`issue_at`.
+
+        The caller has checked that the core is not stalled and that the
+        request is due. Draw order per request — instruction gap, write
+        coin, locality coin, then channel/bank/row on a locality break —
+        is the core's whole RNG stream, so it must not change.
+        """
+        rng = self._rng
+        issue_at = self.issue_at
         self.instructions_retired += self._pending_gap
         self._clock_ns = issue_at
-        self._pending_gap = self._draw_gap()
-        is_write = self._rng.random() < self.benchmark.write_fraction
-        channel, bank, row = self._draw_location()
-        request = Request(
-            kind=RequestKind.WRITE if is_write else RequestKind.READ,
-            core=self.core_id,
-            bank=bank,
-            row=row,
-            arrival_ns=issue_at,
-            channel=channel,
-        )
-        if request.kind is RequestKind.READ:
-            self.outstanding += 1
-        return request
+        gap = float(rng.exponential(self._inter_miss_mean))
+        self._pending_gap = gap
+        self.issue_at = issue_at + gap / self._ipns
+        is_write = rng.random() < self.benchmark.write_fraction
+        if rng.random() < self.benchmark.row_hit_rate:
+            channel = self._last_channel
+            bank = self._last_bank
+            row = self._last_row
+        else:
+            channel = self._last_channel = int(rng.integers(self.channels))
+            bank = self._last_bank = int(rng.integers(self.banks))
+            row = self._last_row = int(rng.integers(self.rows_per_bank))
+        if is_write:
+            return Request(RequestKind.WRITE, self.core_id, bank, row,
+                           issue_at, channel)
+        self.outstanding += 1
+        self.reads_issued += 1
+        return Request(RequestKind.READ, self.core_id, bank, row,
+                       issue_at, channel)
 
     def complete_read(self, request: Request, now_ns: float) -> None:
         """A demand read came back; release its window slot."""
@@ -149,6 +159,7 @@ class TraceCore:
             # read was the gating miss.
             self.stall_ns += now_ns - self._clock_ns
             self._clock_ns = now_ns
+            self.issue_at = self._issue_time()
 
     # ------------------------------------------------------------------
     def ipc(self, elapsed_ns: float) -> float:

@@ -11,12 +11,14 @@ for its Figure 15/16 and Table 3 studies.
 
 from __future__ import annotations
 
+import copy
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import kernels, obs
+from .. import obs
 from ..dram.timing import DDR3_1600, TimingParameters, trfc_for_density_ns
-from ..kernels.eventheap import FlatEventHeap
 from ..mc.controller import (
     MemoryController,
     RefreshSettings,
@@ -27,7 +29,6 @@ from ..mc.rowrefresh import RowRefreshScheduler, RowRefreshSettings, TrrSettings
 from ..traces.spec import BenchmarkProfile, get_benchmark
 from .core import CoreConfig, TraceCore
 from .energy import energy_of_run
-from .events import EventHeap
 
 
 @dataclass
@@ -125,6 +126,8 @@ class SystemSimulator:
             raise ValueError("need at least one benchmark")
         self.config = config or SystemConfig()
         timing = self.config.timing()
+        # Controllers append each read they service; run() delivers them.
+        self._completed_reads: List[Request] = []
         self._reads_done: Dict[int, List[Request]] = {
             i: [] for i in range(len(benchmarks))
         }
@@ -147,7 +150,7 @@ class SystemSimulator:
                 rows_per_bank=self.config.rows_per_bank,
                 refresh=self.config.refresh,
                 test_traffic=per_channel_tests[channel],
-                on_read_complete=self._read_done,
+                on_read_complete=self._completed_reads.append,
                 row_refresh=(
                     RowRefreshScheduler(
                         self.config.row_refresh, timing, self.config.banks
@@ -173,15 +176,11 @@ class SystemSimulator:
             )
             for i, bench in enumerate(benchmarks)
         ]
-        self._completed_reads: List[Request] = []
 
     @property
     def controller(self) -> MemoryController:
         """The first channel's controller (single-channel convenience)."""
         return self.controllers[0]
-
-    def _read_done(self, request: Request) -> None:
-        self._completed_reads.append(request)
 
     def activation_snapshot(
         self, now_ns: float
@@ -215,11 +214,14 @@ class SystemSimulator:
         ``engine`` selects the inner loop: ``"event"`` (default) is the
         heap-scheduled discrete-event engine; ``"poll"`` is the retired
         cycle-polling loop, kept verbatim as the equivalence oracle.
+        Either way the run ends with :meth:`check_conservation`.
         """
         if window_ns <= 0:
             raise ValueError("window_ns must be positive")
         if engine == "poll":
-            return self._reference_run(window_ns)
+            result = self._reference_run(window_ns)
+            self.check_conservation()
+            return result
         if engine != "event":
             raise ValueError(f"unknown engine {engine!r}")
 
@@ -230,30 +232,41 @@ class SystemSimulator:
         n_cores = len(cores)
         tck = controllers[0].timing.tCK
         completed = self._completed_reads
+        reads_done = self._reads_done
+        enqueue = [controller.scheduler.enqueue for controller in controllers]
+        drains = [controller.drain for controller in controllers]
+        limits = [core.config.max_outstanding for core in cores]
 
-        # Actors post their next-ready times on the heap and are visited
-        # only when due; time jumps straight to the earliest posted time
-        # (floored at now + tCK, the poll loop's advance rule). Each
-        # iteration touches only the due actors — the per-iteration cost
-        # is proportional to the work at that instant, not to the number
-        # of cores and channels.
+        # Actors post their next-ready times on an event heap and are
+        # visited only when due; time jumps straight to the earliest
+        # posted time (floored at now + tCK, the poll loop's advance
+        # rule). Each iteration touches only the due actors — its cost
+        # follows the work at that instant, not the number of cores and
+        # channels.
         #
-        # Actors are dense ints: core i -> i, channel ch -> n_cores + ch.
-        # That encoding preserves the historical tuple actors' tiebreak
-        # (all cores before all controllers, each group by index), and
-        # lets the kernels backend swap in the typed-array heap.
-        heap = (
-            FlatEventHeap(n_cores + n_channels)
-            if kernels.engaged() else EventHeap()
-        )
+        # The heap is sim.events.EventHeap's protocol inlined over
+        # integer actors: core i -> i, channel ch -> n_cores + ch, which
+        # keeps the tiebreak at equal times (all cores before all
+        # controllers, each group by index). Entries are (time, actor,
+        # token); token[actor] is the token of the actor's one live entry,
+        # 0 when it has none, and any other entry is stale and dropped
+        # when it reaches the top.
+        heap: List[Tuple[float, int, int]] = []
+        token = [0] * (n_cores + n_channels)
+        issued = 0  # the last token handed out
         hints: List[Optional[float]] = []
         for i, core in enumerate(cores):
             hint = core.next_arrival_hint(0.0)
             hints.append(hint)
             if hint is not None:
-                heap.push(i, hint)
+                issued += 1
+                token[i] = issued
+                heappush(heap, (hint, i, issued))
         for channel in range(n_channels):
-            heap.push(n_cores + channel, 0.0)  # every controller due at t=0
+            # Every controller is due at t=0.
+            issued += 1
+            token[n_cores + channel] = issued
+            heappush(heap, (0.0, n_cores + channel, issued))
         # Per-core backpressure queues (the fairness fix: a refused
         # request stalls only its own core, not every later-index core).
         holdback: List[List[Request]] = [[] for _ in cores]
@@ -267,16 +280,19 @@ class SystemSimulator:
             if iterations > max_iterations:
                 raise RuntimeError("simulator failed to make progress")
             due_cores: List[int] = []
-            drain_chs: List[int] = []
-            for actor in heap.prune_due(now):
-                if actor < n_cores:
-                    due_cores.append(actor)
-                else:
-                    drain_chs.append(actor - n_cores)
-            touched = [False] * n_channels
-            fed = False
+            due_channels: List[int] = []
+            while heap and heap[0][0] <= now:
+                _, actor, entry_token = heappop(heap)
+                if token[actor] == entry_token:
+                    token[actor] = 0  # consumed
+                    if actor < n_cores:
+                        due_cores.append(actor)
+                    else:
+                        due_channels.append(actor - n_cores)
+            fed: List[int] = []  # channels that accepted a request
 
-            # --- Cores, in id order: retry refused requests, then poll.
+            # --- Cores, in id order: retry refused requests, then issue
+            # every request that is due.
             if blocked:
                 ids = set(due_cores)
                 for i in range(n_cores):
@@ -293,9 +309,8 @@ class SystemSimulator:
                 if queue:
                     while queue:
                         request = queue[0]
-                        if controllers[request.channel].enqueue(request):
-                            touched[request.channel] = True
-                            fed = True
+                        if enqueue[request.channel](request):
+                            fed.append(request.channel)
                             queue.pop(0)
                         else:
                             break
@@ -308,25 +323,32 @@ class SystemSimulator:
                 if hint > now:
                     # Not actually due (blocked-path visit or a stale
                     # wake-up); make sure the arrival stays posted.
-                    if heap.current(i) is None:
-                        heap.push(i, hint)
+                    if not token[i]:
+                        issued += 1
+                        token[i] = issued
+                        heappush(heap, (hint, i, issued))
                     continue
+                # Due and not stalled: issue until the core stalls, its
+                # next request lies in the future, or a queue refuses.
                 core = cores[i]
+                limit = limits[i]
                 while True:
-                    request = core.next_request(now)
-                    if request is None:
-                        break
-                    if controllers[request.channel].enqueue(request):
-                        touched[request.channel] = True
-                        fed = True
+                    request = core.issue()
+                    channel = request.channel
+                    if enqueue[channel](request):
+                        fed.append(channel)
                     else:
                         queue.append(request)
                         blocked += 1
                         break
-                hint = core.next_arrival_hint(now)
+                    if core.outstanding >= limit or core.issue_at > now:
+                        break
+                hint = core.issue_at if core.outstanding < limit else None
                 hints[i] = hint
                 if hint is not None:
-                    heap.push(i, hint)
+                    issued += 1
+                    token[i] = issued
+                    heappush(heap, (hint, i, issued))
 
             # --- Controllers, in channel order: drain every due or
             # freshly-fed channel. `floor_base` tracks the last instant
@@ -335,15 +357,12 @@ class SystemSimulator:
             # outer advance must respect it.
             floor_base = now
             if fed:
-                fed_set = set(drain_chs)
-                for ch in range(n_channels):
-                    if touched[ch]:
-                        fed_set.add(ch)
-                drain_chs = sorted(fed_set)
-            elif len(drain_chs) > 1:
-                drain_chs.sort()
-            multi = len(drain_chs) > 1
-            for channel in drain_chs:
+                due_channels = sorted(set(due_channels).union(fed))
+            elif len(due_channels) > 1:
+                due_channels.sort()
+            multi = len(due_channels) > 1
+            for channel in due_channels:
+                actor = n_cores + channel
                 if blocked or multi:
                     # Single-step: refused requests retry at tick cadence,
                     # and channels acting at the same instant constrain
@@ -356,14 +375,16 @@ class SystemSimulator:
                     # event elsewhere (core arrivals + peer channels —
                     # exactly the live heap minus this channel's entry,
                     # which the drain supersedes anyway).
-                    heap.invalidate(n_cores + channel)
-                    bound = heap.next_time(window_ns)
+                    token[actor] = 0
+                    while heap and token[heap[0][1]] != heap[0][2]:
+                        heappop(heap)
+                    bound = heap[0][0] if heap else window_ns
                     if bound > window_ns:
                         bound = window_ns
-                next_event, last_instant = controllers[channel].drain(
-                    now, bound
-                )
-                heap.push(n_cores + channel, next_event)
+                next_event, last_instant = drains[channel](now, bound)
+                issued += 1
+                token[actor] = issued
+                heappush(heap, (next_event, actor, issued))
                 if last_instant > floor_base:
                     floor_base = last_instant
 
@@ -371,19 +392,21 @@ class SystemSimulator:
             if completed:
                 affected = set()
                 for request in completed:
-                    cores[request.core].complete_read(
-                        request, request.completion_ns
-                    )
-                    self._reads_done[request.core].append(request)
-                    affected.add(request.core)
+                    i = request.core
+                    cores[i].complete_read(request, request.completion_ns)
+                    reads_done[i].append(request)
+                    affected.add(i)
                 completed.clear()
                 for i in affected:
-                    hint = cores[i].next_arrival_hint(now)
+                    core = cores[i]
+                    hint = core.issue_at if core.outstanding < limits[i] else None
                     hints[i] = hint
                     if hint is not None:
-                        heap.push(i, hint)
+                        issued += 1
+                        token[i] = issued
+                        heappush(heap, (hint, i, issued))
                     else:
-                        heap.invalidate(i)
+                        token[i] = 0
 
             # --- Advance to the next posted event, floored one tCK past
             # the last instant processed this iteration. While a refused
@@ -396,11 +419,33 @@ class SystemSimulator:
             ):
                 step_to = floor
             else:
-                step_to = heap.next_time(floor)
+                while heap and token[heap[0][1]] != heap[0][2]:
+                    heappop(heap)
+                step_to = heap[0][0] if heap else floor
             now = step_to if step_to > floor else floor
 
         c_iterations.inc(iterations)
-        return self._collect_result(window_ns)
+        result = self._collect_result(window_ns)
+        self.check_conservation()
+        return result
+
+    def check_conservation(self) -> None:
+        """Run-end accounting identities, O(banks + cores) per run.
+
+        Every controller served or still holds each request it accepted,
+        every bank's activations are its row misses plus conflicts, and
+        no core completed more reads than it issued. Raises
+        ``RuntimeError`` naming the first identity that fails.
+        """
+        for controller in self.controllers:
+            controller.check_conservation()
+        for core in self.cores:
+            completed = len(self._reads_done[core.core_id])
+            if completed > core.reads_issued:
+                raise RuntimeError(
+                    f"core {core.core_id}: {completed} reads completed > "
+                    f"{core.reads_issued} issued"
+                )
 
     def _reference_run(self, window_ns: float) -> SystemResult:
         """The retired cycle-polling loop, kept as the equivalence oracle.
@@ -515,6 +560,17 @@ class SystemSimulator:
         )
 
 
+#: ``simulate_workload`` results kept for reuse. A fixed bound: quick
+#: fig15 + fig16 + table3 make 324 distinct calls.
+WORKLOAD_MEMO_SIZE = 512
+
+#: Memo key -> (result, registry delta, registry enabled), least
+#: recently used first.
+_workload_memo: "OrderedDict[str, Tuple[SystemResult, dict, bool]]" = (
+    OrderedDict()
+)
+
+
 def simulate_workload(
     benchmark_names: Sequence[str],
     density_gbit: int = 8,
@@ -525,7 +581,49 @@ def simulate_workload(
     channels: int = 1,
     seed: int = 0,
 ) -> SystemResult:
-    """Convenience wrapper: one run of a named multiprogrammed workload."""
+    """Convenience wrapper: one run of a named multiprogrammed workload.
+
+    A run is a pure function of its arguments, so results are memoised
+    in a bounded LRU keyed on all of them (by ``repr``, so ``8`` and
+    ``8.0`` stay apart: the window is part of the result). A hit returns
+    a deep copy and replays the metrics the run recorded
+    (:func:`repro.obs.snapshot_delta`) into the live registry, so
+    counters and histograms read as if the run had happened. Traced
+    runs (trace or forensics) always simulate: their value is the event
+    stream.
+    """
+    args = (tuple(benchmark_names), density_gbit, refresh_interval_ms,
+            refresh_reduction, concurrent_tests, window_ns, channels, seed)
+    if obs.trace_active():
+        return _simulate_workload(*args)
+    key = repr(args)
+    registry = obs.get_registry()
+    cached = _workload_memo.get(key)
+    if cached is not None and cached[2] == registry.enabled:
+        _workload_memo.move_to_end(key)
+        result, delta, _ = cached
+        registry.merge(delta)
+        return copy.deepcopy(result)
+    before = registry.snapshot()
+    result = _simulate_workload(*args)
+    delta = obs.snapshot_delta(before, registry.snapshot())
+    _workload_memo[key] = (copy.deepcopy(result), delta, registry.enabled)
+    _workload_memo.move_to_end(key)
+    if len(_workload_memo) > WORKLOAD_MEMO_SIZE:
+        _workload_memo.popitem(last=False)
+    return result
+
+
+def _simulate_workload(
+    benchmark_names: Tuple[str, ...],
+    density_gbit: int,
+    refresh_interval_ms: float,
+    refresh_reduction: float,
+    concurrent_tests: int,
+    window_ns: float,
+    channels: int,
+    seed: int,
+) -> SystemResult:
     config = SystemConfig(
         density_gbit=density_gbit,
         channels=channels,

@@ -1,6 +1,5 @@
 """Backend resolution, env override, fallback and warm-up contracts."""
 
-import numpy as np
 import pytest
 
 from repro import kernels, obs
@@ -70,11 +69,13 @@ class TestMaybeNjit:
         assert callable(_predicate_kernel.py_func)
 
     def test_impl_unwraps_for_pyfunc(self):
-        from repro.kernels.eventheap import _heap_push
+        from repro.kernels.faultpred import _predicate_kernel
 
         kernels.set_backend("pyfunc")
         try:
-            assert kernels.impl(_heap_push) is _heap_push.py_func
+            assert kernels.impl(_predicate_kernel) is (
+                _predicate_kernel.py_func
+            )
         finally:
             kernels.set_backend(None)
 
@@ -113,8 +114,8 @@ class TestWarmup:
 
 class TestStandaloneSchedulerUnaffected:
     def test_engaged_backend_without_attach_uses_python_path(self):
-        # A scheduler nobody attached bank arrays to must behave (and
-        # pick) through the oracle path even when a backend is engaged.
+        # The scheduler has no kernel path: an engaged backend must not
+        # change how it picks.
         from repro.mc.bank import BankState
         from repro.mc.request import Request, RequestKind
         from repro.mc.scheduler import FrFcfsScheduler
@@ -131,29 +132,3 @@ class TestStandaloneSchedulerUnaffected:
         finally:
             kernels.set_backend(None)
 
-
-def test_flat_heap_rejects_bad_actor_count():
-    from repro.kernels.eventheap import FlatEventHeap
-
-    with pytest.raises(ValueError):
-        FlatEventHeap(0)
-
-
-def test_kernel_ring_compacts_and_grows():
-    from repro.kernels.sched import KindRing
-
-    ring = KindRing(capacity=4)
-    ready = np.zeros(1, dtype=np.float64)
-    open_rows = np.full(1, -1, dtype=np.int64)
-    done = np.zeros(1, dtype=np.bool_)
-    for seq in range(100):
-        ring.append(seq, 0, seq % 5, 0.0)
-        if seq % 2 == 0:
-            ring.kill_seq(seq)
-    assert ring.live == 50
-    kernels.set_backend("pyfunc")
-    try:
-        slot = ring.pick(ready, open_rows, done, 100.0)
-        assert int(ring.seqs[slot]) == 1  # oldest surviving entry
-    finally:
-        kernels.set_backend(None)

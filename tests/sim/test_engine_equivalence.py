@@ -4,8 +4,10 @@
 retired cycle-polling loop (``engine="poll"``, kept as the reference
 implementation — the same oracle pattern the vectorised fault engine
 uses): identical ``SystemResult``s and identical traced event streams
-across randomized configurations. The one intentional divergence is
-backpressure fairness, covered by its own regression test.
+across randomized configurations, including the benchmark's shapes and
+activation tracking / TRR. The one intentional divergence is
+backpressure fairness, covered by its own regression test and pinned by
+a fixed golden result.
 """
 
 from dataclasses import asdict
@@ -15,17 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.mc.controller import RefreshSettings, TestTrafficSettings
-from repro.mc.rowrefresh import RowRefreshSettings
+from repro.mc.rowrefresh import RowRefreshSettings, TrrSettings
 from repro.mc.scheduler import FrFcfsScheduler, SchedulerConfig
 from repro.sim.core import CoreConfig
 from repro.sim.system import SystemConfig, SystemSimulator
-from repro.traces.spec import get_benchmark
+from repro.traces.spec import benchmark_names, get_benchmark
 
 BENCH_POOL = ["mcf", "tonto", "libquantum", "gcc"]
 
 
-def _config(channels, tests, reduction, row_refresh):
+def _config(channels, tests, reduction, row_refresh, density=8, **extra):
     return SystemConfig(
+        density_gbit=density,
         channels=channels,
         refresh=RefreshSettings(base_interval_ms=16.0, reduction=reduction),
         test_traffic=TestTrafficSettings(concurrent_tests=tests),
@@ -33,6 +36,7 @@ def _config(channels, tests, reduction, row_refresh):
             RowRefreshSettings(hi_rows=2048, lo_rows=30720)
             if row_refresh else None
         ),
+        **extra,
     )
 
 
@@ -162,6 +166,91 @@ class TestEngineMatchesOracle:
             simulator.run(1_000.0, engine="cycle")
 
 
+class TestBenchmarkShapes:
+    """The shapes the perf benchmark drives (perfbench/workloads.py):
+    fig15's 4-core calls with 256 concurrent tests, and 8-core mixes over
+    4 channels, at both densities and over the whole benchmark pool."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        benches=st.lists(st.sampled_from(benchmark_names()),
+                         min_size=4, max_size=4),
+        reduction=st.sampled_from([0.60, 0.75]),
+        density=st.sampled_from([8, 32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_memcon_4core_with_tests(self, benches, reduction, density, seed):
+        config = _config(1, 256, reduction, False, density=density)
+        expected, _ = _run("poll", benches, config, seed, 12_500.0)
+        got, _ = _run("event", benches, config, seed, 12_500.0)
+        assert got == expected
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        benches=st.lists(st.sampled_from(benchmark_names()),
+                         min_size=8, max_size=8),
+        density=st.sampled_from([8, 32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_8core_4channel(self, benches, density, seed):
+        config = _config(4, 0, 0.0, False, density=density)
+        expected, _ = _run("poll", benches, config, seed, 12_500.0)
+        got, _ = _run("event", benches, config, seed, 12_500.0)
+        assert got == expected
+
+
+class TestActivationTrackingAndTrr:
+    """The drain's hoisted rare branches: ACT logging and TRR, whose
+    mitigations occupy banks mid-run and, with forensics on, emit
+    ``trr_refresh`` ledger records."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        benches=st.lists(st.sampled_from(BENCH_POOL), min_size=1, max_size=3),
+        channels=st.integers(1, 2),
+        threshold=st.sampled_from([2, 4, 16]),
+        radius=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trr_results_and_snapshots_identical(
+        self, benches, channels, threshold, radius, seed
+    ):
+        config = _config(channels, 2, 0.0, False,
+                         trr=TrrSettings(threshold=threshold,
+                                         neighbor_radius=radius))
+        outputs = {}
+        for engine in ("poll", "event"):
+            benchmarks = [get_benchmark(name) for name in benches]
+            simulator = SystemSimulator(benchmarks, config, seed=seed)
+            result = simulator.run(10_000.0, engine=engine)
+            outputs[engine] = (
+                asdict(result),
+                simulator.activation_snapshot(10_000.0),
+                [controller.trr.triggers
+                 for controller in simulator.controllers],
+            )
+        assert outputs["event"] == outputs["poll"]
+
+    def test_trr_forensic_stream_identical(self):
+        # Row-granularity refresh on too: its ticks also move the banks.
+        config = _config(1, 8, 0.0, True, track_activations=True,
+                         trr=TrrSettings(threshold=2))
+        previous = obs.set_forensics(True)
+        try:
+            expected, expected_records = _run(
+                "poll", ["mcf", "libquantum"], config, 9, 10_000.0,
+                traced=True)
+            got, got_records = _run(
+                "event", ["mcf", "libquantum"], config, 9, 10_000.0,
+                traced=True)
+        finally:
+            obs.set_forensics(previous)
+        assert got == expected
+        assert got_records == expected_records
+        kinds = {record["kind"] for record in got_records}
+        assert {"trr_refresh", "mc_request"} <= kinds
+
+
 class TestHoldbackFairness:
     """The per-core holdback fix: backpressure must not starve cores.
 
@@ -206,3 +295,30 @@ class TestHoldbackFairness:
         event_reads = [core.reads_completed for core in event_result.cores]
         assert min(poll_reads) == 0
         assert min(event_reads) > min(poll_reads)
+
+    def test_congested_run_matches_golden(self):
+        # The engines legitimately differ under backpressure, so the
+        # oracle cannot check this regime; a fixed golden result (from
+        # the event engine before the drain loop was fused) does.
+        result, rejected = self._run_congested("event")
+        assert rejected == 319993
+        assert asdict(result) == {
+            "window_ns": 100000.0,
+            "cores": [
+                {"benchmark": "mcf", "instructions": 148328.01957166824,
+                 "ipc": 0.3708200489291706, "reads_completed": 7455,
+                 "mean_read_latency_ns": 45376.37703781081},
+                {"benchmark": "mcf", "instructions": 3247.299593410709,
+                 "ipc": 0.008118248983526772, "reads_completed": 157,
+                 "mean_read_latency_ns": 49606.94350291718},
+                {"benchmark": "mcf", "instructions": 872.0162947605777,
+                 "ipc": 0.0021800407369014442, "reads_completed": 43,
+                 "mean_read_latency_ns": 62819.47405339474},
+                {"benchmark": "mcf", "instructions": 153.9341628043628,
+                 "ipc": 0.00038483540701090706, "reads_completed": 11,
+                 "mean_read_latency_ns": 46083.92856511446},
+            ],
+            "refreshes_issued": 51,
+            "refresh_busy_fraction": 0.1785,
+            "row_hit_rate": 0.31660866202629545,
+        }
