@@ -65,9 +65,8 @@ from .faults import (
     _binomial_quantile,
     _draw_distinct_columns,
     _draw_lognormal_thresholds,
-    _evict_lru_rows,
+    _ensure_resident,
     _mix64,
-    _note_residency,
     _unit,
 )
 
@@ -179,22 +178,10 @@ class DisturbMap:
             return _mix64(self._seed_base ^ (rows.astype(_U64) * _GOLDEN))
 
     def _ensure_rows(self, rows: np.ndarray) -> None:
-        pops = self._populations
-        unique = np.unique(rows)
-        missing = [int(r) for r in unique if int(r) not in pops]
-        evicted = 0
-        if self.max_resident_rows is not None:
-            if len(missing) < len(unique):
-                for r in unique:
-                    r = int(r)
-                    if r in pops:
-                        pops.move_to_end(r)
-            evicted = _evict_lru_rows(
-                pops, self.max_resident_rows, len(unique), len(missing)
-            )
-        if missing:
-            self._generate_rows(np.asarray(missing, dtype=np.int64))
-        _note_residency(len(missing), evicted)
+        _ensure_resident(
+            self._populations, rows, self.max_resident_rows,
+            self._generate_rows,
+        )
 
     def resident_rows(self) -> int:
         """How many rows currently hold materialized population state."""

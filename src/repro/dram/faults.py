@@ -50,7 +50,7 @@ import math
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,14 +82,50 @@ def _evict_lru_rows(
     count; regeneration on a later touch is bitwise-identical because row
     populations are pure functions of (seed, row) counter streams.
     """
-    target = max(budget, batch)
+    excess = min(len(populations) + incoming - max(budget, batch),
+                 len(populations))
+    if excess <= 0:
+        return 0
+    popitem = populations.popitem
+    if shadow:
+        for _ in range(excess):
+            shadow.pop(popitem(last=False)[0], None)
+    else:
+        for _ in range(excess):
+            popitem(last=False)
+    return excess
+
+
+def _ensure_resident(
+    populations: "OrderedDict[int, object]",
+    rows: np.ndarray,
+    budget: Optional[int],
+    generate: Callable[[np.ndarray], None],
+    shadow: Optional[Dict[int, object]] = None,
+) -> None:
+    """Make every row of ``rows`` resident, under an optional LRU budget.
+
+    Resident rows of the batch are touched (moved to the MRU end, in
+    ascending row order), the LRU rows that no longer fit are evicted
+    (see :func:`_evict_lru_rows`), and ``generate`` materialises the
+    missing rows, ascending, in one pass. Shared by
+    :class:`FaultMap` and :class:`~repro.dram.disturb.DisturbMap`.
+    """
+    unique = np.unique(rows).tolist()
+    missing = [row for row in unique if row not in populations]
     evicted = 0
-    while len(populations) + incoming > target and populations:
-        row, _ = populations.popitem(last=False)
-        if shadow is not None:
-            shadow.pop(row, None)
-        evicted += 1
-    return evicted
+    if budget is not None:
+        if len(missing) < len(unique):
+            touch = populations.move_to_end
+            for row in unique:
+                if row in populations:
+                    touch(row)
+        evicted = _evict_lru_rows(
+            populations, budget, len(unique), len(missing), shadow=shadow
+        )
+    if missing:
+        generate(np.asarray(missing, dtype=np.int64))
+    _note_residency(len(missing), evicted)
 
 
 def _note_residency(generated: int, evicted: int) -> None:
@@ -295,6 +331,12 @@ class RowPopulation:
 
 _EMPTY_COLUMNS = np.empty(0, dtype=np.int64)
 _EMPTY_THRESHOLDS = np.empty(0, dtype=np.float64)
+#: The population of a row without vulnerable cells, by polarity.
+_EMPTY_POPULATIONS = {
+    polarity: RowPopulation(_EMPTY_COLUMNS, _EMPTY_THRESHOLDS, polarity,
+                            math.inf)
+    for polarity in (False, True)
+}
 
 
 class FaultMap:
@@ -363,23 +405,10 @@ class FaultMap:
         }
 
     def _ensure_rows(self, rows: np.ndarray) -> None:
-        pops = self._populations
-        unique = np.unique(rows)
-        missing = [int(r) for r in unique if int(r) not in pops]
-        evicted = 0
-        if self.max_resident_rows is not None:
-            if len(missing) < len(unique):
-                for r in unique:
-                    r = int(r)
-                    if r in pops:
-                        pops.move_to_end(r)
-            evicted = _evict_lru_rows(
-                pops, self.max_resident_rows, len(unique), len(missing),
-                shadow=self._rows,
-            )
-        if missing:
-            self._generate_rows(np.asarray(missing, dtype=np.int64))
-        _note_residency(len(missing), evicted)
+        _ensure_resident(
+            self._populations, rows, self.max_resident_rows,
+            self._generate_rows, shadow=self._rows,
+        )
 
     def resident_rows(self) -> int:
         """How many rows currently hold materialized population state."""
@@ -411,9 +440,14 @@ class FaultMap:
             cfg.vulnerable_cell_rate,
         )
 
+        row_list = rows.tolist()
+        polarity = true_cell.tolist()
+        # Most rows hold no vulnerable cell; they share one immutable
+        # empty population per polarity.
+        generated = dict(zip(
+            row_list, [_EMPTY_POPULATIONS[p] for p in polarity]
+        ))
         nz = np.flatnonzero(counts)
-        columns_by_row: Dict[int, np.ndarray] = {}
-        thresholds_by_row: Dict[int, np.ndarray] = {}
         if len(nz):
             nz_counts = counts[nz]
             total = int(nz_counts.sum())
@@ -426,23 +460,16 @@ class FaultMap:
             thresholds = self._draw_thresholds(pair_base, j)
             # Sort each row's cells by physical column, thresholds aligned.
             order = np.lexsort((cols, pair_pos))
-            cols, thresholds, pair_pos = cols[order], thresholds[order], pair_pos[order]
-            bounds = np.cumsum(nz_counts)
-            for i, row_pos in enumerate(nz):
-                lo, hi = bounds[i] - nz_counts[i], bounds[i]
-                columns_by_row[int(rows[row_pos])] = cols[lo:hi]
-                thresholds_by_row[int(rows[row_pos])] = thresholds[lo:hi]
-
-        for i, row in enumerate(rows):
-            row = int(row)
-            columns = columns_by_row.get(row, _EMPTY_COLUMNS)
-            thresholds = thresholds_by_row.get(row, _EMPTY_THRESHOLDS)
-            self._populations[row] = RowPopulation(
-                columns=columns,
-                thresholds=thresholds,
-                true_cell=bool(true_cell[i]),
-                min_threshold=float(thresholds.min()) if len(thresholds) else math.inf,
-            )
+            cols, thresholds = cols[order], thresholds[order]
+            minima = np.minimum.reduceat(thresholds, starts).tolist()
+            bounds = starts.tolist() + [total]
+            for i, row_pos in enumerate(nz.tolist()):
+                lo, hi = bounds[i], bounds[i + 1]
+                generated[row_list[row_pos]] = RowPopulation(
+                    cols[lo:hi], thresholds[lo:hi], polarity[row_pos],
+                    minima[i],
+                )
+        self._populations.update(generated)
 
     def _draw_columns(
         self,
@@ -816,10 +843,9 @@ class FaultMap:
         rows = np.asarray(rows, dtype=np.int64)
         self._check_rows(rows)
         self._ensure_rows(rows)
-        mins = np.fromiter(
-            (self._populations[int(r)].min_threshold for r in rows),
-            np.float64,
-            len(rows),
+        pops = self._populations
+        mins = np.array(
+            [pops[r].min_threshold for r in rows.tolist()], dtype=np.float64
         )
         return mins <= self.stress(2, refresh_interval_ms)
 

@@ -43,6 +43,42 @@ class WriteTrace:
             raise ValueError("duration_ms must be positive")
         if self.total_pages <= 0:
             raise ValueError("total_pages must be positive")
+        if not self._pages_valid():
+            self._check_pages()
+        if len(self.writes) > self.total_pages:
+            raise ValueError("more written pages than total_pages")
+
+    def _pages_valid(self) -> bool:
+        """Every page's checks in one pass over all timestamps at once.
+
+        Stores the float64 arrays and returns True when all pages pass;
+        otherwise stores nothing and returns False, leaving
+        :meth:`_check_pages` to name the first offending page.
+        """
+        writes = self.writes
+        try:
+            arrays = [np.asarray(t, dtype=np.float64) for t in writes.values()]
+        except Exception:  # the per-page pass raises it for the right page
+            return False
+        if not all(arr.ndim == 1 for arr in arrays):
+            return False
+        if arrays:
+            flat = np.concatenate(arrays)
+            unsorted = flat[1:] < flat[:-1]
+            # A pair that straddles two pages is no order violation.
+            starts = np.cumsum([len(arr) for arr in arrays[:-1]], dtype=np.intp)
+            unsorted[starts[(starts > 0) & (starts < len(flat))] - 1] = False
+            if (
+                (flat < 0).any()
+                or (flat >= self.duration_ms).any()
+                or unsorted.any()
+            ):
+                return False
+        writes.update(zip(list(writes), arrays))
+        return True
+
+    def _check_pages(self) -> None:
+        """Per-page validation: raises for the first offending page."""
         for page, times in self.writes.items():
             arr = np.asarray(times, dtype=np.float64)
             if arr.ndim != 1:
@@ -52,8 +88,6 @@ class WriteTrace:
             if np.any(np.diff(arr) < 0):
                 raise ValueError(f"page {page}: timestamps not sorted")
             self.writes[page] = arr
-        if len(self.writes) > self.total_pages:
-            raise ValueError("more written pages than total_pages")
 
     # ------------------------------------------------------------------
     @property

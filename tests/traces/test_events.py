@@ -28,6 +28,75 @@ class TestValidation:
         with pytest.raises(ValueError):
             trace_factory({}, duration_ms=0.0)
 
+    def test_non_positive_total_pages_raises(self, trace_factory):
+        with pytest.raises(ValueError, match="total_pages must be positive"):
+            trace_factory({}, total_pages=0)
+
+    def test_two_dimensional_timestamps_raise(self):
+        with pytest.raises(ValueError, match="page 3: timestamps must be 1-D"):
+            WriteTrace(duration_ms=100.0, writes={3: [[1.0, 2.0]]},
+                       total_pages=4)
+
+    def test_scalar_timestamps_raise(self):
+        with pytest.raises(ValueError, match="page 0: timestamps must be 1-D"):
+            WriteTrace(duration_ms=100.0, writes={0: 5.0}, total_pages=4)
+
+    def test_first_offending_page_in_page_order_is_named(self):
+        writes = {7: [1.0, 2.0], 2: [3.0, 1.0], 0: [-1.0], 5: [[1.0]]}
+        with pytest.raises(ValueError, match="page 2: timestamps not sorted"):
+            WriteTrace(duration_ms=100.0, writes=writes, total_pages=8)
+
+    def test_order_across_pages_is_not_checked(self):
+        trace = WriteTrace(
+            duration_ms=100.0,
+            writes={0: [], 1: [90.0, 99.0], 2: [], 3: [1.0], 4: []},
+            total_pages=8,
+        )
+        assert trace.n_writes == 3
+        assert all(arr.dtype == np.float64 for arr in trace.writes.values())
+
+    def test_lists_are_stored_as_float64_arrays(self):
+        writes = {0: [1, 2], 1: (3.5,)}
+        trace = WriteTrace(duration_ms=10.0, writes=writes, total_pages=2)
+        assert trace.writes is writes
+        assert [arr.tolist() for arr in writes.values()] == [[1.0, 2.0], [3.5]]
+        assert all(isinstance(arr, np.ndarray) for arr in writes.values())
+
+    @given(st.dictionaries(
+        st.integers(0, 20),
+        st.lists(st.one_of(
+            st.floats(-5.0, 105.0),
+            st.just(float("nan")),
+        ), max_size=6),
+        max_size=8,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_per_page_checks(self, writes):
+        """The all-pages pass raises exactly what checking each page in
+        turn raises, and stores the same arrays when nothing does."""
+        def per_page(pages):
+            stored = {}
+            for page, times in pages.items():
+                arr = np.asarray(times, dtype=np.float64)
+                if len(arr) and (arr[0] < 0 or arr[-1] >= 100.0):
+                    return f"page {page}: timestamps outside window"
+                if np.any(np.diff(arr) < 0):
+                    return f"page {page}: timestamps not sorted"
+                stored[page] = arr
+            return stored
+
+        expected = per_page(writes)
+        try:
+            trace = WriteTrace(duration_ms=100.0, writes=dict(writes),
+                               total_pages=32)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert not isinstance(expected, str)
+            assert list(trace.writes) == list(expected)
+            for page, arr in expected.items():
+                np.testing.assert_array_equal(trace.writes[page], arr)
+
 
 class TestAccessors:
     def test_written_pages_excludes_empty(self, trace_factory):
